@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Repeat the benchmark and judge its spread against BENCHMARK.json.
 
-    python3 svcbench/compare.py [--runs 10] [--first-seed 1] [--workloads a,b]
-                                [--seconds S] [--save out.json] [--against base.json]
+    python3 svcbench/compare.py [--runs 10] [--first-seed 1]
+                                [--save out.json] [--against base.json]
 
-Run from the repository root. Runs every chosen workload `--runs` times,
-alternating workloads, each run with the next seed, through `run.py`
-(end-to-end metrics, tracing off). For every end-to-end metric it prints
-the median, the quartiles (`statistics.quantiles(values, n=4)`) and the
-spread (third minus first quartile, as a share of the median), and
-flags a spread above the metric's bound (`OVER`) or above a third of it
-(`noisy`). It also checks that the share of failed operations is the
+Run from the repository root. Runs every workload of BENCHMARK.json
+`--runs` times at its `run_seconds`, alternating workloads, each run
+with the next seed, through `run.py` (end-to-end metrics, tracing off).
+For every end-to-end metric it prints the median, the quartiles
+(`statistics.quantiles(values, n=4)`) and the spread (third minus first
+quartile, as a share of the median), and flags a spread above the
+metric's bound (`OVER`) or above a third of it (`noisy`). It also checks that the share of failed operations is the
 same in every run of a workload. `--save` writes the raw values;
 `--against` compares this set's medians with a saved set's and flags a
 metric whose median got worse by more than its bound. Exits 1 when
@@ -46,15 +46,13 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--runs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--workloads", help="comma-separated; default: all")
-    ap.add_argument("--seconds", type=float, help="default: run_seconds of BENCHMARK.json")
     ap.add_argument("--save", help="write the raw values here")
     ap.add_argument("--against", help="a file written by --save to compare medians with")
     args = ap.parse_args()
 
     spec = json.loads(Path("BENCHMARK.json").read_text())
-    workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
-    seconds = args.seconds or spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     values = {w: {m["name"]: [] for m in spec["end_to_end"]} for w in workloads}
     shares = {w: set() for w in workloads}
     for i in range(args.runs):
@@ -80,7 +78,7 @@ def main():
             q1, _, q3 = statistics.quantiles(xs, n=4)
             spread = (q3 - q1) / med
             flag = ""
-            if spread > m["bound"] and m["name"] != "setup_s":
+            if spread > m["bound"]:
                 flag, bad = "OVER", True
             elif spread > m["bound"] / 3:
                 flag = "noisy"

@@ -9,7 +9,9 @@
 //! points.
 
 use crate::layers::{self, Collector, Stream};
-use crate::util::{quantile, secs, status_kb, time_us, Rng, Round};
+use crate::util::{
+    final_checkpoint, quantile, recover_checked, secs, status_kb, timed_build, Rng, Round,
+};
 use crate::Opts;
 use mmv_constraints::{CmpOp, Constraint, NoDomains, SolverConfig, Term, Value, Var};
 use mmv_core::batch::UpdateBatch;
@@ -18,7 +20,7 @@ use mmv_core::tp::Operator;
 use mmv_core::{ConstrainedAtom, ConstrainedDatabase, ShardSpec, SupportMode};
 use mmv_service::{Durability, FsyncPolicy, ServiceSnapshot, ViewService, ViewServiceBuilder};
 use std::collections::{BTreeSet, HashSet, VecDeque};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 struct Params {
     chains: usize,
@@ -289,10 +291,8 @@ pub fn run(opts: &Opts) -> Result<Round, String> {
     let total = p.warmup + p.timed + p.tail;
     let mut r = Round::default();
 
-    let mut dir = opts.dir.join("interval_lanes");
-    let svc = crate::util::timed_build(&mut r.setup_s, || {
-        dir = opts.storage("interval_lanes");
-        builder(opts, &dir, &p, total).build(db.clone())
+    let (svc, dir) = timed_build(&mut r.setup_s, &opts.dir, "interval_lanes", |dir| {
+        builder(opts, dir, &p, total).build(db.clone())
     })?;
 
     let lane_of: Vec<usize> = (0..p.chains)
@@ -315,14 +315,7 @@ pub fn run(opts: &Opts) -> Result<Round, String> {
 
     // Checkpoint everything applied so far, then a short tail: recovery
     // loads the checkpoint and replays the tail.
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while svc.checkpoint_stats().map_or(0, |c| c.last_epoch) < upto {
-        if Instant::now() > deadline {
-            return Err("final checkpoint never completed".into());
-        }
-        svc.request_checkpoint();
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    final_checkpoint(&svc, upto)?;
     run_batches(p.tail, false, &mut w)?;
     r.write_ns = std::mem::take(&mut w.write_ns);
     r.read_ns = std::mem::take(&mut w.read_ns);
@@ -346,31 +339,15 @@ pub fn run(opts: &Opts) -> Result<Round, String> {
     }
     drop(svc);
 
-    let (rec, report) = crate::util::timed_recover(&mut r.recover_s, || {
-        builder(opts, &dir, &p, total).recover(db.clone())
-    })?;
-    if report.recovered_epoch != served.epoch() {
-        return Err(format!(
-            "recovered epoch {} != served {}",
-            report.recovered_epoch,
-            served.epoch()
-        ));
-    }
-    let recovered = rec.snapshot();
-    if !recovered
-        .merged_view()
-        .syntactically_equal(&served.merged_view())
-    {
-        return Err("recovered view differs from the served view".into());
-    }
-    check_tops(&recovered, &chains, p.depth)?;
-    drop(rec);
+    recover_checked(
+        &mut r,
+        opts.trace,
+        &served,
+        || builder(opts, &dir, &p, total).recover(db.clone()),
+        |snap| check_tops(snap, &chains, p.depth),
+    )?;
 
     if opts.trace {
-        r.layer(
-            "recovery.replay_us_per_record",
-            quantile(&r.recover_s, 0.5) * 1e6 / report.replayed_records.max(1) as f64,
-        );
         let stream = &w.stream[..p.warmup + p.timed];
         let timed_from = p.warmup;
         r.layer("wal.parse_us", layers::wal_parse_us(&stream[timed_from..]));
@@ -392,36 +369,14 @@ pub fn run(opts: &Opts) -> Result<Round, String> {
         );
         let dred = layers::replay(&s, SupportMode::Plain);
         r.layer("core.dred.delete_us", quantile(&dred.delete_us, 0.5));
-        snapshot_reads(&mut r, &served, &chains, p.depth, opts.seed)?;
+        let mut rng = Rng::new(opts.seed, 20);
+        layers::snapshot_reads(&mut r, &served, &NoDomains, || {
+            let c = &chains[rng.below(chains.len() as u64) as usize];
+            let pt = c.probe(&mut rng);
+            (top(c.id, p.depth), vec![Value::int(pt)], vec![None])
+        })?;
     }
     let _ = std::fs::remove_dir_all(&dir);
     r.rss_peak_mb = status_kb("VmHWM") as f64 / 1024.0;
     Ok(r)
-}
-
-/// Single-thread `ask`/`query` latency on one fixed snapshot.
-fn snapshot_reads(
-    r: &mut Round,
-    snap: &ServiceSnapshot,
-    chains: &[Chain],
-    depth: usize,
-    seed: u64,
-) -> Result<(), String> {
-    let scfg = SolverConfig::default();
-    let mut rng = Rng::new(seed, 20);
-    let (mut asks, mut queries) = (Vec::new(), Vec::new());
-    for _ in 0..200 {
-        let c = &chains[rng.below(chains.len() as u64) as usize];
-        let pt = c.probe(&mut rng);
-        let pred = top(c.id, depth);
-        let (got, us) = time_us(|| snap.ask(&pred, &[Value::int(pt)], &NoDomains, &scfg));
-        got.map_err(|e| format!("snapshot ask: {e}"))?;
-        asks.push(us);
-        let (got, us) = time_us(|| snap.query(&pred, &[None], &NoDomains, &scfg));
-        got.map_err(|e| format!("snapshot query: {e}"))?;
-        queries.push(us);
-    }
-    r.layer("snapshot.ask_us", quantile(&asks, 0.5));
-    r.layer("snapshot.query_us", quantile(&queries, 0.5));
-    Ok(())
 }

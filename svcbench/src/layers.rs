@@ -5,7 +5,7 @@
 //! and the snapshot read path over the same stream.
 
 use crate::util::{dir_bytes, fresh_dir, mean, quantile, time_us, Round};
-use mmv_constraints::{Constraint, DomainResolver, Lit};
+use mmv_constraints::{Constraint, DomainResolver, Lit, SolverConfig, Value};
 use mmv_core::batch::{DeleteStats, UpdateBatch};
 use mmv_core::tp::{fixpoint, FixpointConfig, Operator};
 use mmv_core::{
@@ -57,7 +57,7 @@ impl Collector {
             }
         }
         self.pages_copied += a.publish.entry_pages_copied;
-        self.keys_copied += a.publish.by_const_keys_copied;
+        self.keys_copied += a.publish.by_const_keys_copied + a.publish.slot_keys_copied;
         self.publish_us
             .push(a.publish.publish_latency.as_secs_f64() * 1e6);
     }
@@ -322,4 +322,32 @@ pub fn wal_parse_us(batches: &[UpdateBatch]) -> f64 {
         .map(|f| time_us(|| parse_wal_payload(f).expect("rendered frame parses")).1)
         .collect();
     mean(&times)
+}
+
+/// One snapshot-read probe: the predicate, the `ask` arguments and the
+/// `query` pattern.
+pub type Probe = (String, Vec<Value>, Vec<Option<Value>>);
+
+/// Single-thread `ask`/`query` latency on one fixed snapshot, over 200
+/// probes drawn by `probe`.
+pub fn snapshot_reads(
+    r: &mut Round,
+    snap: &ServiceSnapshot,
+    resolver: &dyn DomainResolver,
+    mut probe: impl FnMut() -> Probe,
+) -> Result<(), String> {
+    let scfg = SolverConfig::default();
+    let (mut asks, mut queries) = (Vec::new(), Vec::new());
+    for _ in 0..200 {
+        let (pred, args, pattern) = probe();
+        let (got, us) = time_us(|| snap.ask(&pred, &args, resolver, &scfg));
+        got.map_err(|e| format!("snapshot ask: {e}"))?;
+        asks.push(us);
+        let (got, us) = time_us(|| snap.query(&pred, &pattern, resolver, &scfg));
+        got.map_err(|e| format!("snapshot query: {e}"))?;
+        queries.push(us);
+    }
+    r.layer("snapshot.ask_us", quantile(&asks, 0.5));
+    r.layer("snapshot.query_us", quantile(&queries, 0.5));
+    Ok(())
 }

@@ -31,7 +31,9 @@
 //! `InstanceError::Unknown`. Those probes count as failed operations.
 
 use crate::layers::{self, Collector, Stream};
-use crate::util::{quantile, secs, status_kb, time_us, Rng, Round};
+use crate::util::{
+    final_checkpoint, quantile, recover_checked, secs, status_kb, timed_build, Rng, Round,
+};
 use crate::Opts;
 use mmv_constraints::{
     CmpOp, Constraint, DomainResolver, SolverConfig, Term, Value, ValueSet, Var,
@@ -395,10 +397,8 @@ pub fn run(opts: &Opts) -> Result<Round, String> {
     let total = p.warmup + p.timed + p.tail;
     let mut r = Round::default();
 
-    let mut dir = opts.dir.join("mediated_reads");
-    let svc = crate::util::timed_build(&mut r.setup_s, || {
-        dir = opts.storage("mediated_reads");
-        builder(opts, &dir, &p, &sensors, total).build(db.clone())
+    let (svc, dir) = timed_build(&mut r.setup_s, &opts.dir, "mediated_reads", |dir| {
+        builder(opts, dir, &p, &sensors, total).build(db.clone())
     })?;
 
     // The overlap run sits in the untimed warm-up, so the timed phase
@@ -440,14 +440,7 @@ pub fn run(opts: &Opts) -> Result<Round, String> {
     let (after, upto) = (p.warmup as u64, (p.warmup + p.timed) as u64);
 
     // Checkpoint what was applied, then a short tail for recovery.
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while svc.checkpoint_stats().map_or(0, |c| c.last_epoch) < upto {
-        if Instant::now() > deadline {
-            return Err("final checkpoint never completed".into());
-        }
-        svc.request_checkpoint();
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    final_checkpoint(&svc, upto)?;
     for _ in 0..p.tail {
         apply_and_probe(&svc, &mut writer, &mut wout)?;
     }
@@ -475,31 +468,15 @@ pub fn run(opts: &Opts) -> Result<Round, String> {
     }
     drop(svc);
 
-    let (rec, report) = crate::util::timed_recover(&mut r.recover_s, || {
-        builder(opts, &dir, &p, &sensors, total).recover(db.clone())
-    })?;
-    if report.recovered_epoch != served.epoch() {
-        return Err(format!(
-            "recovered epoch {} != served {}",
-            report.recovered_epoch,
-            served.epoch()
-        ));
-    }
-    let recovered = rec.snapshot();
-    if !recovered
-        .merged_view()
-        .syntactically_equal(&served.merged_view())
-    {
-        return Err("recovered view differs from the served view".into());
-    }
-    check_all(&recovered, &sensors, &p)?;
-    drop(rec);
+    recover_checked(
+        &mut r,
+        opts.trace,
+        &served,
+        || builder(opts, &dir, &p, &sensors, total).recover(db.clone()),
+        |snap| check_all(snap, &sensors, &p),
+    )?;
 
     if opts.trace {
-        r.layer(
-            "recovery.replay_us_per_record",
-            quantile(&r.recover_s, 0.5) * 1e6 / report.replayed_records.max(1) as f64,
-        );
         let timed_from = p.warmup;
         r.layer(
             "wal.parse_us",
@@ -524,37 +501,16 @@ pub fn run(opts: &Opts) -> Result<Round, String> {
         );
         let stdel = layers::replay(&s, SupportMode::WithSupports);
         r.layer("core.stdel.delete_us", quantile(&stdel.delete_us, 0.5));
-        snapshot_reads(&mut r, &served, &sensors, &p, opts.seed)?;
+        let mut rng = Rng::new(opts.seed, 32);
+        let e = served.epoch() as i64;
+        layers::snapshot_reads(&mut r, &served, sensors.as_ref(), || {
+            let pred = format!("a{}", rng.below(p.sensors as u64));
+            let x = Value::int(rng.range(e * ZONE_STRIDE, (e + p.zones) * ZONE_STRIDE));
+            let v = Value::int(rng.range(0, READING_MAX));
+            (pred, vec![x.clone(), v], vec![Some(x), None])
+        })?;
     }
     let _ = std::fs::remove_dir_all(&dir);
     r.rss_peak_mb = status_kb("VmHWM") as f64 / 1024.0;
     Ok(r)
-}
-
-/// Single-thread `ask`/`query` latency on one fixed snapshot.
-fn snapshot_reads(
-    r: &mut Round,
-    snap: &ServiceSnapshot,
-    sensors: &Sensors,
-    p: &Params,
-    seed: u64,
-) -> Result<(), String> {
-    let scfg = SolverConfig::default();
-    let mut rng = Rng::new(seed, 32);
-    let (mut asks, mut queries) = (Vec::new(), Vec::new());
-    let e = snap.epoch() as i64;
-    for _ in 0..200 {
-        let pred = format!("a{}", rng.below(p.sensors as u64));
-        let x = Value::int(rng.range(e * ZONE_STRIDE, (e + p.zones) * ZONE_STRIDE));
-        let v = Value::int(rng.range(0, READING_MAX));
-        let (got, us) = time_us(|| snap.ask(&pred, &[x.clone(), v], sensors, &scfg));
-        got.map_err(|e| format!("snapshot ask: {e}"))?;
-        asks.push(us);
-        let (got, us) = time_us(|| snap.query(&pred, &[Some(x), None], sensors, &scfg));
-        got.map_err(|e| format!("snapshot query: {e}"))?;
-        queries.push(us);
-    }
-    r.layer("snapshot.ask_us", quantile(&asks, 0.5));
-    r.layer("snapshot.query_us", quantile(&queries, 0.5));
-    Ok(())
 }

@@ -7,14 +7,14 @@
 //! edges.
 
 use crate::layers::{self, Collector, Stream};
-use crate::util::{quantile, secs, status_kb, time_us, Rng, Round};
+use crate::util::{quantile, recover_checked, secs, status_kb, timed_build, Rng, Round};
 use crate::Opts;
 use mmv_constraints::{NoDomains, SolverConfig, Value};
 use mmv_core::batch::UpdateBatch;
 use mmv_core::parser::parse_program;
 use mmv_core::tp::Operator;
 use mmv_core::{ConstrainedAtom, ConstrainedDatabase, ShardSpec, SupportMode};
-use mmv_service::{Durability, FsyncPolicy, ViewService, ViewServiceBuilder};
+use mmv_service::{Durability, FsyncPolicy, ServiceSnapshot, ViewService, ViewServiceBuilder};
 use std::collections::{BTreeSet, HashSet};
 use std::time::Instant;
 
@@ -161,10 +161,8 @@ pub fn run(opts: &Opts) -> Result<Round, String> {
     let total = p.warmup + p.timed;
     let mut r = Round::default();
 
-    let mut dir = opts.dir.join("tc_window");
-    let svc = crate::util::timed_build(&mut r.setup_s, || {
-        dir = opts.storage("tc_window");
-        builder(opts, &dir, total).build(db.clone())
+    let (svc, dir) = timed_build(&mut r.setup_s, &opts.dir, "tc_window", |dir| {
+        builder(opts, dir, total).build(db.clone())
     })?;
 
     let mut stream = Vec::with_capacity(total);
@@ -210,12 +208,6 @@ pub fn run(opts: &Opts) -> Result<Round, String> {
     let rss_end = status_kb("VmRSS");
 
     let served = svc.snapshot();
-    let got = served
-        .query("tc", &[None, None], &NoDomains, &scfg)
-        .map_err(|e| format!("final closure: {e}"))?;
-    if got != win.closure() {
-        return Err("final tc instance set differs from BFS closure".into());
-    }
 
     if opts.trace {
         col.report(&mut r);
@@ -234,30 +226,26 @@ pub fn run(opts: &Opts) -> Result<Round, String> {
     }
     drop(svc);
 
-    let (rec, report) = crate::util::timed_recover(&mut r.recover_s, || {
-        builder(opts, &dir, total).recover(db.clone())
-    })?;
-    if report.recovered_epoch != served.epoch() {
-        return Err(format!(
-            "recovered epoch {} != served {}",
-            report.recovered_epoch,
-            served.epoch()
-        ));
-    }
-    if !rec
-        .snapshot()
-        .merged_view()
-        .syntactically_equal(&served.merged_view())
-    {
-        return Err("recovered view differs from the served view".into());
-    }
-    drop(rec);
+    let closure = win.closure();
+    let check = |snap: &ServiceSnapshot| {
+        let got = snap
+            .query("tc", &[None, None], &NoDomains, &scfg)
+            .map_err(|e| format!("closure: {e}"))?;
+        if got != closure {
+            return Err("tc instance set differs from BFS closure".to_string());
+        }
+        Ok(())
+    };
+    check(&served)?;
+    recover_checked(
+        &mut r,
+        opts.trace,
+        &served,
+        || builder(opts, &dir, total).recover(db.clone()),
+        check,
+    )?;
 
     if opts.trace {
-        r.layer(
-            "recovery.replay_us_per_record",
-            quantile(&r.recover_s, 0.5) * 1e6 / report.replayed_records.max(1) as f64,
-        );
         let timed = &stream[p.warmup..];
         r.layer("wal.parse_us", layers::wal_parse_us(timed));
         layers::checkpoint_replay(&mut r, &opts.dir, &served, Operator::Tp);
@@ -281,34 +269,16 @@ pub fn run(opts: &Opts) -> Result<Round, String> {
         let edges = Stream { db: &base_db, ..s };
         let stdel = layers::replay(&edges, SupportMode::WithSupports);
         r.layer("core.stdel.delete_us", quantile(&stdel.delete_us, 0.5));
-        snapshot_reads(&mut r, &served, &mut win, &scfg)?;
+        layers::snapshot_reads(&mut r, &served, &NoDomains, || {
+            let (a, b) = win.probe();
+            (
+                "tc".into(),
+                vec![Value::int(a), Value::int(b)],
+                vec![Some(Value::int(a)), None],
+            )
+        })?;
     }
     let _ = std::fs::remove_dir_all(&dir);
     r.rss_peak_mb = status_kb("VmHWM") as f64 / 1024.0;
     Ok(r)
-}
-
-/// Single-thread `ask`/`query` latency on one fixed snapshot.
-fn snapshot_reads(
-    r: &mut Round,
-    snap: &mmv_service::ServiceSnapshot,
-    win: &mut Window,
-    scfg: &SolverConfig,
-) -> Result<(), String> {
-    let mut asks = Vec::new();
-    let mut queries = Vec::new();
-    for _ in 0..200 {
-        let (a, b) = win.probe();
-        let (got, us) =
-            time_us(|| snap.ask("tc", &[Value::int(a), Value::int(b)], &NoDomains, scfg));
-        got.map_err(|e| format!("snapshot ask: {e}"))?;
-        asks.push(us);
-        let (got, us) =
-            time_us(|| snap.query("tc", &[Some(Value::int(a)), None], &NoDomains, scfg));
-        got.map_err(|e| format!("snapshot query: {e}"))?;
-        queries.push(us);
-    }
-    r.layer("snapshot.ask_us", quantile(&asks, 0.5));
-    r.layer("snapshot.query_us", quantile(&queries, 0.5));
-    Ok(())
 }

@@ -1,10 +1,11 @@
 //! Shared plumbing: the seeded generator, process memory readings,
-//! quantiles, a minimal JSON writer and the per-round record every
-//! workload fills in.
+//! quantiles, timed set-up and checked recovery, a minimal JSON writer
+//! and the per-round record every workload fills in.
 
-use std::fmt::Write as _;
+use mmv_service::{RecoveryReport, ServiceSnapshot, ViewService};
+use std::fmt::{Display, Write as _};
 use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// SplitMix64: small, seedable and identical on every platform, so a
 /// seed names exactly one input stream.
@@ -76,43 +77,103 @@ pub fn time_us<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, t0.elapsed().as_secs_f64() * 1e6)
 }
 
-/// Builds the service `SETUP_REPEATS` times over fresh directories,
-/// recording each build's wall time, and keeps the last one.
-pub fn timed_build<S, E: std::fmt::Display>(
+/// Builds the service at least `SETUP_REPEATS` times, then until
+/// `SETUP_BUDGET_S` seconds of builds or `SETUP_MAX` builds, recording
+/// each build's wall time, and keeps the last one with its directory. Each build gets a fresh
+/// directory `base/name`, made before its timer starts: only `build`
+/// itself is timed, not the benchmark's own file-system cleanup nor the
+/// drop of the previous service.
+pub fn timed_build<S, E: Display>(
     setup_s: &mut Vec<f64>,
-    mut build: impl FnMut() -> Result<S, E>,
-) -> Result<S, String> {
-    let mut last = None;
-    for _ in 0..SETUP_REPEATS {
-        drop(last.take());
-        let t0 = Instant::now();
-        let svc = build().map_err(|e| format!("build: {e}"))?;
-        setup_s.push(secs(t0));
-        last = Some(svc);
-    }
-    Ok(last.expect("at least one build"))
-}
-
-/// Builds per round: set-up is short next to a round, so its median
-/// over several builds is what a round reports.
-const SETUP_REPEATS: usize = 5;
-
-/// Recovers the service until `RECOVER_REPEATS` recoveries or
-/// `RECOVER_BUDGET_S` seconds of them, recording each one's wall time,
-/// and keeps the last. A short recovery is repeated so that its median
-/// is not one sample; a long one (a full WAL replay) runs once.
-pub fn timed_recover<S, R, E: std::fmt::Display>(
-    recover_s: &mut Vec<f64>,
-    mut recover: impl FnMut() -> Result<(S, R), E>,
-) -> Result<(S, R), String> {
+    base: &Path,
+    name: &str,
+    mut build: impl FnMut(&Path) -> Result<S, E>,
+) -> Result<(S, PathBuf), String> {
+    let mut spent = 0.0;
+    let mut n = 0;
     loop {
+        let dir = fresh_dir(base, name);
         let t0 = Instant::now();
-        let out = recover().map_err(|e| format!("recover: {e}"))?;
-        recover_s.push(secs(t0));
-        if recover_s.len() >= RECOVER_REPEATS || recover_s.iter().sum::<f64>() >= RECOVER_BUDGET_S {
-            return Ok(out);
+        let svc = build(&dir).map_err(|e| format!("build: {e}"))?;
+        let s = secs(t0);
+        setup_s.push(s);
+        spent += s;
+        n += 1;
+        if n >= SETUP_REPEATS && (spent >= SETUP_BUDGET_S || n >= SETUP_MAX) {
+            return Ok((svc, dir));
         }
     }
+}
+
+/// Set-up is short next to a round, so a round builds the service
+/// many times and the median build is what a run reports. A build of a
+/// few milliseconds is one sample of a noisy host; a quarter second of
+/// them is not.
+const SETUP_REPEATS: usize = 5;
+const SETUP_BUDGET_S: f64 = 0.25;
+const SETUP_MAX: usize = 100;
+
+/// Asks for checkpoints until one covers epoch `upto`.
+pub fn final_checkpoint(svc: &ViewService, upto: u64) -> Result<(), String> {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while svc.checkpoint_stats().map_or(0, |c| c.last_epoch) < upto {
+        if Instant::now() > deadline {
+            return Err("final checkpoint never completed".into());
+        }
+        svc.request_checkpoint();
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    Ok(())
+}
+
+/// Recovers the round's final directory, then checks the recovered
+/// service: it reached the served epoch, its view is syntactically equal
+/// to the served one, and `check` (the workload's model) holds on it.
+///
+/// Recovery repeats until `RECOVER_REPEATS` recoveries or
+/// `RECOVER_BUDGET_S` seconds of them, each one's wall time recorded, so
+/// that a short recovery's median is not one sample; a long one (a full
+/// WAL replay) runs once. Traced rounds also get
+/// `recovery.replay_us_per_record`.
+pub fn recover_checked<E: Display>(
+    r: &mut Round,
+    trace: bool,
+    served: &ServiceSnapshot,
+    mut recover: impl FnMut() -> Result<(ViewService, RecoveryReport), E>,
+    check: impl FnOnce(&ServiceSnapshot) -> Result<(), String>,
+) -> Result<(), String> {
+    let (rec, report) = loop {
+        let t0 = Instant::now();
+        let out = recover().map_err(|e| format!("recover: {e}"))?;
+        r.recover_s.push(secs(t0));
+        if r.recover_s.len() >= RECOVER_REPEATS
+            || r.recover_s.iter().sum::<f64>() >= RECOVER_BUDGET_S
+        {
+            break out;
+        }
+    };
+    if report.recovered_epoch != served.epoch() {
+        return Err(format!(
+            "recovered epoch {} != served {}",
+            report.recovered_epoch,
+            served.epoch()
+        ));
+    }
+    let recovered = rec.snapshot();
+    if !recovered
+        .merged_view()
+        .syntactically_equal(&served.merged_view())
+    {
+        return Err("recovered view differs from the served view".into());
+    }
+    check(&recovered).map_err(|e| format!("recovered view: {e}"))?;
+    if trace {
+        r.layer(
+            "recovery.replay_us_per_record",
+            quantile(&r.recover_s, 0.5) * 1e6 / report.replayed_records.max(1) as f64,
+        );
+    }
+    Ok(())
 }
 
 const RECOVER_REPEATS: usize = 5;
